@@ -493,36 +493,6 @@ def _run_knobs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _watch_subscribe(client, args: argparse.Namespace):
-    """Send the watch command, retrying while no point is live yet.
-
-    ``run --telemetry`` binds its socket before the first point starts
-    (and campaigns have gaps between points), so a watch client may
-    connect a moment too early; the retry turns that race into a short
-    wait instead of an error.
-    """
-    import time
-
-    from repro.telemetry import TelemetryClientError
-
-    last: Exception | None = None
-    for attempt in range(args.retry + 1):
-        try:
-            return client.watch(
-                sample=args.sample or (),
-                every=args.every,
-                start=args.start,
-                label=args.label,
-            )
-        except TelemetryClientError as exc:
-            if "no live point" not in str(exc):
-                raise
-            last = exc
-            if attempt < args.retry:
-                time.sleep(0.3)
-    raise last  # type: ignore[misc]
-
-
 def _render_plan_node(node, labels, indent: int = 0) -> None:
     pad = "  " * indent
     if node.is_leaf:
@@ -602,7 +572,8 @@ def _run_watch(args: argparse.Namespace) -> int:
         return 1
     try:
         with client:
-            _watch_subscribe(client, args)
+            client.watch(sample=args.sample or (), every=args.every,
+                         start=args.start, label=args.label)
             if args.pause_at is not None or args.knob or args.checkpoint:
                 paused = client.pause(at=args.pause_at)
                 print(f"paused at cycle boundary "
@@ -869,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch_parser.add_argument(
         "--retry", type=int, metavar="N", default=10,
-        help="connection/subscription retries, 0.2-0.3s apart "
+        help="connection retries, 0.2s apart "
         "(default 10: rides out the run's startup)",
     )
     watch_parser.add_argument(

@@ -92,7 +92,7 @@ PORT_FIELDS = frozenset(("sent", "recv", "busy_cycles", "occupancy"))
 
 REALM_UNIT_FIELDS = frozenset((
     "isolated", "outstanding", "denied_by_budget", "denied_by_throttle",
-    "blocked_aw", "blocked_ar", "span_hits", "span_cycles", "granularity",
+    "blocked_aw", "blocked_ar", "granularity",
 ))
 REALM_CTRL_FIELDS = frozenset((
     "regulation", "isolate", "throttle", "splitter",

@@ -105,17 +105,6 @@ def _register_realm(
     probes.register(f"{prefix}.blocked_ar",
                     lambda u=unit: u.blocked_ar,
                     doc="AR beats held at the isolation stage")
-    # Span-replay statistics.  Scheduled hooks clamp spans to the commit
-    # boundary they fire on, so a sampled read always sees counters that
-    # are current as of the probed cycle (DESIGN.md section 11).  The
-    # values describe the execution strategy, not the modelled hardware:
-    # they differ across kernels and must stay out of golden schedules.
-    probes.register(f"{prefix}.span_hits",
-                    lambda u=unit: u.span_hits,
-                    doc="spans this unit has joined (execution stat)")
-    probes.register(f"{prefix}.span_cycles",
-                    lambda u=unit: u.span_cycles,
-                    doc="cycles replayed in closed form (execution stat)")
 
     # CTRL bits and the (intrusive) splitter granularity.
     ctrl = unit_off + rf.CTRL

@@ -18,6 +18,7 @@ from repro.axi.beats import ARBeat, AWBeat, BBeat, RBeat, WBeat
 from repro.axi.ports import AxiBundle
 from repro.axi.transaction import beat_addresses
 from repro.axi.types import Resp, bytes_per_beat
+from repro.mem.backing import contiguous_runs, first_mismatch
 from repro.sim.kernel import Component, SimulationError
 from repro.sim.span import SpanOffer, produce
 
@@ -396,22 +397,30 @@ class CacheLLC(Component):
         if limit < 1:
             return None
         nbytes = bytes_per_beat(txn.size)
-        line_mask = ~(self.line_bytes - 1)
-        template_data: Optional[bytes] = None
+        template_data = b""
         horizon = 0
-        for j in range(index, index + limit):
-            addr = self._addrs[j]
-            line = self.lookup(addr & line_mask, touch=False)
+        # (line_addr, beats) per resident line visited, in beat order:
+        # one lookup and one slice comparison per line, not per beat.
+        lines: list[tuple[int, int]] = []
+        for line_addr, offset, k in self._line_chunks(index, index + limit,
+                                                      nbytes):
+            line = self.lookup(line_addr, touch=False)
             if line is None:
                 break
-            offset = addr - (addr & line_mask)
-            data = bytes(line.data[offset : offset + nbytes])
-            if template_data is None:
-                template_data = data
-            elif data != template_data:
+            chunk = line.data[offset : offset + k * nbytes]
+            if not lines:
+                template_data = bytes(chunk[:nbytes])
+            expect = template_data * k
+            same = chunk == expect
+            if not same:
+                k = (first_mismatch(chunk, expect) // nbytes
+                     if len(chunk) == len(expect) else 0)
+            if k:
+                lines.append((line_addr, k))
+                horizon += k
+            if not same:
                 break
-            horizon += 1
-        if horizon < 1 or template_data is None:
+        if horizon < 1:
             return None
         template = RBeat(
             id=txn.id, data=template_data, resp=Resp.OKAY, last=False,
@@ -422,11 +431,14 @@ class CacheLLC(Component):
             self.hits += n
             self._now = cycle + n - 1
             touched = None
-            for j in range(index, index + n):
-                line_addr = self._addrs[j] & line_mask
+            left = n
+            for line_addr, beats in lines:
+                if left <= 0:
+                    break
                 if line_addr != touched:
                     self.lookup(line_addr)  # LRU touch, in beat order
                     touched = line_addr
+                left -= beats
             self._index = index + n
 
         return SpanOffer(
@@ -434,6 +446,20 @@ class CacheLLC(Component):
             horizon=horizon,
             apply=apply,
         )
+
+    def _line_chunks(self, start: int, stop: int, nbytes: int):
+        """``(line_addr, offset, beats)`` per cache line the beats
+        ``_addrs[start:stop]`` visit, in beat order.  A beat straddling
+        the line end reads truncated and forms a chunk of its own."""
+        line_bytes = self.line_bytes
+        for addr, beats in contiguous_runs(self._addrs, start, stop, nbytes):
+            t = 0
+            while t < beats:
+                first = addr + t * nbytes
+                offset = first & (line_bytes - 1)
+                k = min(beats - t, (line_bytes - offset) // nbytes) or 1
+                yield first - offset, offset, k
+                t += k
 
     # -- read streaming ------------------------------------------------
     def _st_r_serve(self) -> None:

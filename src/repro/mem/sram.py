@@ -16,7 +16,7 @@ from repro.axi.beats import ARBeat, AWBeat, BBeat, RBeat
 from repro.axi.ports import AxiBundle
 from repro.axi.transaction import beat_addresses
 from repro.axi.types import AtomicOp, Resp, bytes_per_beat
-from repro.mem.backing import BackingStore
+from repro.mem.backing import BackingStore, contiguous_runs
 from repro.sim.kernel import Component
 from repro.sim.span import UNBOUNDED, SpanOffer, consume, produce
 
@@ -44,7 +44,7 @@ class SramMemory(Component):
 
         # Read state machine.
         self._rd: Optional[ARBeat] = None
-        self._rd_addrs: list[bytes] = []
+        self._rd_addrs: list[int] = []
         self._rd_index = 0
         self._rd_wait = 0
         self._rd_ready = 0  # batched: first-serve cycle (event-driven)
@@ -204,19 +204,14 @@ class SramMemory(Component):
             if limit < 1:
                 return None  # next R beat closes the burst
             nbytes = bytes_per_beat(beat.size)
-            r_horizon = 0
-            for j in range(self._rd_index, self._rd_index + limit):
-                data, resp = self._read_beat(self._rd_addrs[j], nbytes)
-                if r_template is None:
-                    r_template = RBeat(
-                        id=beat.id, data=data, resp=resp, last=False,
-                        txn=beat.txn,
-                    )
-                elif data != r_template.data or resp != r_template.resp:
-                    break
-                r_horizon += 1
-            if r_horizon < 1:
-                return None
+            r_horizon, data = self.store.uniform_prefix(
+                self._rd_addrs, self._rd_index, limit, nbytes
+            )
+            resp = Resp.SLVERR if data is None or self._rd_error else Resp.OKAY
+            r_template = RBeat(
+                id=beat.id, data=bytes(nbytes) if data is None else data,
+                resp=resp, last=False, txn=beat.txn,
+            )
             horizon = min(horizon, r_horizon)
             flows.append(produce(port.r, r_template))
         w_template = None
@@ -239,52 +234,33 @@ class SramMemory(Component):
         if r_template is not None and w_template is not None:
             # Reads run before writes inside one tick; a closed-form
             # replay is only exact when the streams cannot interact.
-            nbytes = bytes_per_beat(self._rd.size)
-            rd_lo = min(self._rd_addrs[self._rd_index :])
-            rd_hi = max(self._rd_addrs[self._rd_index :]) + nbytes
-            wbytes = bytes_per_beat(self._wr.size)
-            wr_lo = min(self._wr_addrs[self._wr_index :], default=rd_hi)
-            wr_hi = max(self._wr_addrs[self._wr_index :], default=rd_hi)
-            wr_hi += wbytes
-            if rd_lo < wr_hi and wr_lo < rd_hi:
+            rd_lo, rd_hi = _extent(
+                self._rd_addrs, self._rd_index, bytes_per_beat(self._rd.size)
+            )
+            wr = _extent(
+                self._wr_addrs, self._wr_index, bytes_per_beat(self._wr.size)
+            )
+            if wr is not None and rd_lo < wr[1] and wr[0] < rd_hi:
                 return None
 
         wr_index = self._wr_index
         rd_index = self._rd_index
+        wbytes = bytes_per_beat(self._wr.size) if w_template is not None else 0
 
         def apply(n: int) -> None:
             if r_template is not None:
                 self.read_beats += n
                 self._rd_index = rd_index + n
             if w_template is not None:
-                addrs = self._wr_addrs
-                top = len(addrs) - 1
-                if w_template.data is not None:
-                    for j in range(wr_index, wr_index + n):
-                        try:
-                            self.store.write(
-                                addrs[min(j, top)],
-                                w_template.data,
-                                w_template.strb,
-                            )
-                        except IndexError:
-                            self._wr_error = True
+                if w_template.data is not None and not self.store.write_beats(
+                    self._wr_addrs, wr_index, n, wbytes, w_template.data,
+                    w_template.strb,
+                ):
+                    self._wr_error = True
                 self.write_beats += n
                 self._wr_index = wr_index + n
 
         return SpanOffer(flows=tuple(flows), horizon=horizon, apply=apply)
-
-    def _read_beat(self, addr: int, nbytes: int) -> tuple[bytes, Resp]:
-        """One R beat's payload and response, without side effects."""
-        try:
-            data = self.store.read(addr, nbytes)
-            resp = Resp.OKAY
-        except IndexError:
-            data = bytes(nbytes)
-            resp = Resp.SLVERR
-        if self._rd_error:
-            resp = Resp.SLVERR
-        return data, resp
 
     # ------------------------------------------------------------------
     # read port
@@ -426,3 +402,15 @@ class SramMemory(Component):
                 id=self._wr.id, data=old, resp=Resp.OKAY, last=True,
                 txn=self._wr.txn,
             )
+
+
+def _extent(
+    addrs: list[int], start: int, nbytes: int
+) -> Optional[tuple[int, int]]:
+    """Byte range ``[lo, hi)`` the beats ``addrs[start:]`` touch, from
+    their contiguous runs' endpoints; ``None`` if there are no beats."""
+    runs = contiguous_runs(addrs, start, len(addrs), nbytes)
+    if not runs:
+        return None
+    return (min(addr for addr, _ in runs),
+            max(addr + beats * nbytes for addr, beats in runs))

@@ -76,7 +76,9 @@ class TelemetryServer:
     Start once per process (``start()``/``stop()``); attach one live
     point at a time with :meth:`live_point`.  Clients may connect
     before, during, or between points — a command arriving while no
-    point is live is answered with an error instead of queueing.
+    point is live is held and handed to the next point, which drains it
+    at its first commit boundary (so a ``watch`` sent early misses no
+    frame, however short the point).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -90,6 +92,10 @@ class TelemetryServer:
         self._clients_lock = threading.Lock()
         self._client_arrived = threading.Event()
         self._session: Optional[_LiveSession] = None
+        # Commands that arrived while no point was live, and the lock
+        # that makes "no session, so hold it" atomic against attaching.
+        self._held: list[tuple[_Client, dict]] = []
+        self._attach_lock = threading.Lock()
         self._started = threading.Event()
         self._start_error: Optional[BaseException] = None
         self._stopped = False
@@ -206,15 +212,11 @@ class TelemetryServer:
             writer.close()
 
     def _dispatch(self, client: _Client, message: dict) -> None:
-        session = self._session
-        if session is None:
-            reply: dict[str, Any] = {
-                "type": "error", "message": "no live point attached",
-            }
-            if "id" in message:
-                reply["id"] = message["id"]
-            client.write(encode_message(reply))
-            return
+        with self._attach_lock:
+            session = self._session
+            if session is None:
+                self._held.append((client, message))
+                return
         session.enqueue(client, message)
 
     # ------------------------------------------------------------------
@@ -283,7 +285,12 @@ class TelemetryServer:
             self, system, label=label, default_watch=default_watch,
             meta_fn=meta_fn,
         )
-        self._session = session
+        with self._attach_lock:
+            self._session = session
+            for client, message in self._held:
+                if client.alive:
+                    session.enqueue(client, message)
+            self._held.clear()
         # The inbox doubles as the poll gate: an idle attached run pays
         # one C-level truthiness test per iteration, and poll() only
         # runs when a command (or the pause sentinel) is queued.
@@ -293,7 +300,8 @@ class TelemetryServer:
             yield session
         finally:
             system.sim.clear_poll()
-            self._session = None
+            with self._attach_lock:
+                self._session = None
             session.close()
 
 

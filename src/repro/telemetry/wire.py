@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+from collections import deque
 from typing import Any, Optional
 
 HEADER = struct.Struct(">I")
@@ -49,19 +50,29 @@ class MessageDecoder:
     """Incremental decoder: feed arbitrary chunks, get whole messages.
 
     Usable from blocking reads and asyncio data callbacks alike — the
-    decoder owns nothing but a byte buffer.
+    decoder owns nothing but a byte buffer and a queue of the messages
+    decoded from it but not yet taken.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
+        self._ready: deque[dict] = deque()
 
     def feed(self, data: bytes) -> list[dict]:
-        """Consume *data*; return every now-complete message, in order."""
+        """Consume *data*; take every now-complete message, in order."""
+        self.push(data)
+        messages = list(self._ready)
+        self._ready.clear()
+        return messages
+
+    def pop(self) -> Optional[dict]:
+        """Take the oldest decoded message, ``None`` if none is queued."""
+        return self._ready.popleft() if self._ready else None
+
+    def push(self, data: bytes) -> None:
+        """Consume *data*, queueing every message it completes."""
         self._buffer.extend(data)
-        messages: list[dict] = []
-        while True:
-            if len(self._buffer) < HEADER.size:
-                return messages
+        while len(self._buffer) >= HEADER.size:
             (length,) = HEADER.unpack_from(self._buffer)
             if length > MAX_MESSAGE:
                 raise WireError(
@@ -70,7 +81,7 @@ class MessageDecoder:
                 )
             end = HEADER.size + length
             if len(self._buffer) < end:
-                return messages
+                return
             body = bytes(self._buffer[HEADER.size:end])
             del self._buffer[:end]
             try:
@@ -79,7 +90,7 @@ class MessageDecoder:
                 raise WireError(f"undecodable message body: {exc}") from exc
             if not isinstance(message, dict):
                 raise WireError("message body is not a JSON object")
-            messages.append(message)
+            self._ready.append(message)
 
 
 def send_message(sock: socket.socket, obj: Any) -> None:
@@ -98,12 +109,10 @@ def recv_message(
     *decoder* carries partial data between calls; always pass the same
     one for a given socket.
     """
-    pending = decoder.feed(b"")
-    if pending:
-        # feed(b"") cannot complete a new message unless one was already
-        # whole in the buffer — return it before blocking again.
-        return pending[0]
     while True:
+        message = decoder.pop()
+        if message is not None:
+            return message
         try:
             chunk = sock.recv(65536)
         except socket.timeout as exc:
@@ -114,11 +123,4 @@ def recv_message(
             if len(decoder._buffer):
                 raise WireError("peer closed mid-message")
             return None
-        messages = decoder.feed(chunk)
-        if messages:
-            if len(messages) > 1:
-                # Stash the extras back for the next call by re-feeding
-                # their encoded form ahead of the buffered remainder.
-                rest = b"".join(encode_message(m) for m in messages[1:])
-                decoder._buffer[:0] = rest
-            return messages[0]
+        decoder.push(chunk)

@@ -3,14 +3,18 @@ evolution must be bit-identical to step-by-step execution.
 
 The property test drives a randomized streaming system — burst lengths,
 fragment granularities, finite budgets that exhaust mid-stream, period
-edges crossing running spans, write buffer on/off — through the same
-horizon with span replay enabled and disabled, and diffs every
-observable.  The targeted tests pin the negotiation machinery itself:
-abort taxonomy, hook clamping, probe publication, and profile stats.
+edges crossing running spans, write buffer on/off, SRAM or LLC source
+data that changes value at drawn offsets — through the same horizon
+with span replay enabled and disabled, and diffs every observable plus
+a CRC of the data read.  The targeted tests pin the negotiation
+machinery itself: abort taxonomy, hook clamping, span statistics kept
+out of the probe namespace, and profile stats.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import zlib
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,35 @@ from repro.traffic import DmaEngine
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 UNLIMITED = 1 << 62
+DRAM_BASE = 0x40000
+
+
+class _DigestingDma(DmaEngine):
+    """A DmaEngine that folds the data of every R beat it takes into a
+    CRC, so a span that replays a wrong value shows in the fingerprint
+    (the model itself discards read data)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.read_crc = 0
+
+    def _tick_read(self) -> None:
+        for beat in self.port.r._queue:  # what recv_up_to will take
+            self.read_crc = zlib.crc32(beat.data or b"", self.read_crc)
+        super()._tick_read()
+
+    def span_offer(self, cycle, bound):
+        offer = super().span_offer(cycle, bound)
+        if offer is None or not self.port.r._queue:
+            return offer
+        data = self.port.r._queue[0].data or b""
+
+        def apply(n: int) -> None:
+            offer.apply(n)
+            for _ in range(n):
+                self.read_crc = zlib.crc32(data, self.read_crc)
+
+        return dataclasses.replace(offer, apply=apply)
 
 
 def _streaming_system(
@@ -39,28 +72,42 @@ def _streaming_system(
     period: int,
     gap: int,
     write_buffer: bool,
+    source: str = "sram",
+    pokes: tuple = (),
 ):
+    """The DMA streams from the SRAM (or, with ``source="llc"``, from a
+    warmed LLC) into the SRAM; *pokes* are ``(offset, byte)`` writes into
+    the source before the run, so read spans stop on a value change."""
     sim = Simulator(active_set=True, batched=True, span_replay=span_replay)
-    system = (
+    builder = (
         SystemBuilder(sim=sim)
         .with_crossbar()
         .add_manager(
             "dma",
             granularity=granularity,
             realm_params=RealmUnitParams(write_buffer_present=write_buffer),
-            regions=[RegionConfig(base=0, size=0x40000,
+            regions=[RegionConfig(base=0, size=0x80000,
                                   budget_bytes=budget,
                                   period_cycles=period)],
         )
         .add_sram("mem", base=0, size=0x40000)
-        .build()
     )
+    src_base = 0x0
+    if source == "llc":
+        src_base = DRAM_BASE
+        builder.add_cached_dram("dram", base=DRAM_BASE, size=0x10000)
+    system = builder.build()
+    backing = system.memories["dram" if source == "llc" else "mem"]
+    for offset, value in pokes:
+        backing.store.write(src_base + offset, bytes([value]))
+    if source == "llc":
+        system.warm_cache(DRAM_BASE, 0x8000)
     dma = system.attach(
         "dma",
-        lambda port: DmaEngine(port, src_base=0x0, src_size=0x8000,
-                               dst_base=0x10000, dst_size=0x8000,
-                               burst_beats=burst_beats,
-                               inter_burst_gap=gap),
+        lambda port: _DigestingDma(
+            port, src_base=src_base, src_size=0x8000, dst_base=0x10000,
+            dst_size=0x8000, burst_beats=burst_beats, inter_burst_gap=gap,
+        ),
     )
     return system, dma
 
@@ -72,6 +119,7 @@ def _fingerprint(system, dma) -> tuple:
     return (
         system.sim.cycle,
         dma.bytes_read,
+        dma.read_crc,
         dma.bytes_written,
         dma.read_bursts,
         dma.write_bursts,
@@ -96,6 +144,11 @@ def _fingerprint(system, dma) -> tuple:
             (ch.sent_total, ch.recv_total, ch.busy_cycles)
             for ch in system.ports["dma"].channels
         ),
+        bytes(memory.store._data),
+        tuple(
+            (llc.hits, llc.misses, tuple(tuple(ways) for ways in llc._sets))
+            for llc in system.caches.values()
+        ),
     )
 
 
@@ -105,7 +158,7 @@ def _run_fingerprint(span_replay: bool, horizon: int, **cfg) -> tuple:
     return _fingerprint(system, dma)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     burst_beats=st.sampled_from([4, 16, 64, 256]),
     granularity=st.sampled_from([1, 16, 64, 256]),
@@ -114,18 +167,28 @@ def _run_fingerprint(span_replay: bool, horizon: int, **cfg) -> tuple:
     gap=st.sampled_from([0, 3]),
     write_buffer=st.booleans(),
     horizon=st.integers(min_value=300, max_value=2500),
+    source=st.sampled_from(["sram", "llc"]),
+    pokes=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=0xFFF),
+                  st.integers(min_value=1, max_value=255)),
+        max_size=6,
+    ),
 )
 def test_span_replay_equals_step_by_step(
-    burst_beats, granularity, budget, period, gap, write_buffer, horizon
+    burst_beats, granularity, budget, period, gap, write_buffer, horizon,
+    source, pokes,
 ):
     """Closed-form span evolution == per-cycle stepping for randomized
     configurations, including budget exhaustion (small budgets deplete
-    after one burst) and period-edge replenishes inside running spans."""
+    after one burst), period-edge replenishes inside running spans, and
+    source data that changes value at drawn offsets, in the SRAM or in
+    a warmed LLC."""
     if period == UNLIMITED:
         budget = UNLIMITED  # a finite budget needs a period to replenish
     cfg = dict(burst_beats=burst_beats, granularity=granularity,
                budget=budget, period=period, gap=gap,
-               write_buffer=write_buffer)
+               write_buffer=write_buffer, source=source,
+               pokes=tuple(pokes))
     with_spans = _run_fingerprint(True, horizon, **cfg)
     without = _run_fingerprint(False, horizon, **cfg)
     assert with_spans == without
@@ -200,23 +263,23 @@ def test_scheduled_hook_clamps_spans_to_its_boundary():
     assert MIN_SPAN > 2  # the premise of the clamp in this test
 
 
-def test_span_probes_published_per_unit():
+def test_span_unit_stats_are_metrics_not_probes():
+    """Per-unit span counters describe the execution strategy, so they
+    stay out of the probe namespace (a sampled report must not depend on
+    the kernel) and reach the flight recorder's metrics instead."""
     spec = apply_smoke(load_file(SCENARIO_DIR / "stream_steady.toml"))
     point = expand(spec)[0]
     from repro.scenario.runner import _elaborate_point, _execute_run
 
     system, generators = _elaborate_point(point, active_set=True, batched=True)
     _execute_run(system, point.spec, point.label, generators)
-    probes = system.control.probes
+    assert not [p for p in system.control.probes.paths() if ".span_" in p]
+    counters = run_point(point, profile=True).metrics["counters"]
     for manager in ("dma", "idma"):
-        hits = probes.read(f"realm.{manager}.span_hits")
-        cycles = probes.read(f"realm.{manager}.span_cycles")
         unit = system.realms[manager]
-        assert hits == unit.span_hits
-        assert cycles == unit.span_cycles
-    assert sum(
-        probes.read(f"realm.{m}.span_cycles") for m in ("dma", "idma")
-    ) > 0
+        assert counters[f"span.unit.{manager}.hits"] == unit.span_hits
+        assert counters[f"span.unit.{manager}.cycles"] == unit.span_cycles
+    assert sum(u.span_cycles for u in system.realms.values()) > 0
 
 
 def test_profile_reports_span_stats():

@@ -20,6 +20,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control import ProbeError
 from repro.realm import RegionConfig
@@ -120,6 +122,44 @@ def test_wire_blocking_helpers_over_a_socketpair():
         assert recv_message(b, decoder) is None  # clean EOF
     finally:
         b.close()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    payloads=st.lists(
+        st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
+        min_size=1, max_size=8,
+    ),
+    data=st.data(),
+)
+def test_wire_socketpair_delivers_every_message_in_order(payloads, data):
+    """N messages cut at arbitrary byte boundaries arrive as exactly N,
+    in order — also when one chunk completes several of them."""
+    messages = [dict(p, seq=i) for i, p in enumerate(payloads)]
+    frames = [encode_message(m) for m in messages]
+    stream = b"".join(frames)
+    ends = []
+    for frame in frames:
+        ends.append((ends[-1] if ends else 0) + len(frame))
+    cuts = sorted(data.draw(st.sets(
+        st.integers(min_value=1, max_value=len(stream) - 1), max_size=12,
+    )))
+    a, b = socket.socketpair()
+    b.settimeout(5)  # a lost message fails the test instead of hanging it
+    decoder = MessageDecoder()
+    received = []
+    try:
+        for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+            a.sendall(stream[lo:hi])
+            # Take exactly the messages this chunk completed.
+            while len(received) < sum(end <= hi for end in ends):
+                received.append(recv_message(b, decoder))
+        a.close()
+        assert recv_message(b, decoder) is None  # clean EOF, nothing left
+    finally:
+        a.close()
+        b.close()
+    assert received == messages
 
 
 def test_parse_target():
@@ -299,27 +339,37 @@ def test_server_stream_pause_set_checkpoint_resume(tmp_path):
             assert hello["point"] == "pt"
             assert hello["probes"] == list(PATTERNS)
 
-            # Queue watch + pause *before* the run starts: commands
-            # drain at the first commit boundary, so nothing races.
+            # Queue watch, an unpaused knob write and pause *before* the
+            # run starts: commands drain at the first commit boundary,
+            # so nothing races.  (After the resume below the run may
+            # already have finished, and a command then waits for the
+            # point to end.)
             send_message(client._sock, {"id": 101, "type": "watch"})
+            send_message(client._sock, {"id": 103, "type": "set",
+                                        "path": KNOB, "value": 4096})
             send_message(client._sock, {"id": 102, "type": "pause",
                                         "at": 1000})
             runner = threading.Thread(target=lambda: system.sim.run(4000))
             runner.start()
 
             frames = []
-            watch_reply = paused_reply = None
+            watch_reply = set_reply = paused_reply = None
             while paused_reply is None:
                 message = client._next()
                 assert message is not None
                 if message.get("id") == 101:
                     watch_reply = message
+                elif message.get("id") == 103:
+                    set_reply = message
                 elif message.get("id") == 102:
                     paused_reply = message
                 elif message.get("type") == "frame":
                     frames.append(message)
             assert watch_reply["type"] == "ok"
             assert watch_reply["paths"] == list(PATTERNS)
+            # Knob writes outside a pause are refused.
+            assert set_reply["type"] == "error"
+            assert "paused" in set_reply["message"]
             # Pause at C parks with cycle == C + 1: the exact instant a
             # schedule.at(C) rule observes.  Frames through C arrived
             # before the pause notification.
@@ -338,10 +388,6 @@ def test_server_stream_pause_set_checkpoint_resume(tmp_path):
             resumed_reply = client.resume()
             assert resumed_reply["type"] == "resumed"
             assert resumed_reply["cycle"] == 1001
-
-            # Knob writes outside a pause are refused.
-            with pytest.raises(TelemetryClientError, match="paused"):
-                client.set(KNOB, 4096)
 
             # 14 frames remain (1200..3800); the "end" event only fires
             # when this live_point block exits, so count, don't wait.
@@ -392,6 +438,38 @@ def test_abandoned_pause_auto_resumes():
             runner.join(timeout=30)
             assert not runner.is_alive()
             assert system.sim.cycle == 3000
+    finally:
+        server.stop()
+
+
+def test_command_before_the_point_is_live_is_held_for_it():
+    """A watch sent while no point is live is handed to the next point,
+    which serves it at its first commit boundary: no frame is missed,
+    however quickly the point runs."""
+    server = TelemetryServer()
+    server.start()
+    host, port = server.address
+    try:
+        client = TelemetryClient(host, port)
+        assert client.connect()["live"] is False
+        send_message(client._sock, {"id": 7, "type": "watch"})
+        deadline = time.monotonic() + 10
+        while not server._held:  # the loop thread has taken the command
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        system = _system()
+        with server.live_point(system, label="pt",
+                               default_watch=(list(PATTERNS), 200, None)):
+            system.sim.run(1000)
+        messages = []
+        for message in client.events():
+            messages.append(message)
+            if message["type"] == "end":
+                break
+        client.close()
+        assert [m for m in messages if m.get("id") == 7][0]["type"] == "ok"
+        assert [m["cycle"] for m in messages if m["type"] == "frame"] == [
+            200, 400, 600, 800]
     finally:
         server.stop()
 
