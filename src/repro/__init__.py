@@ -21,21 +21,13 @@ Quick start::
 
 __version__ = "1.0.0"
 
-from repro import analysis, area, axi, baselines, control, interconnect
-from repro import mem, realm, sim, soc, system, traffic
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "analysis",
-    "area",
-    "axi",
-    "baselines",
-    "control",
-    "interconnect",
-    "mem",
-    "realm",
-    "sim",
-    "soc",
-    "system",
-    "traffic",
-]
+_SUBPACKAGES = ("analysis", "area", "axi", "baselines", "control",
+                "interconnect", "mem", "realm", "sim", "soc", "system",
+                "traffic")
+
+# Subpackages load on first use: ``import repro`` costs nothing else.
+__getattr__, __dir__ = lazy_exports(
+    __name__, dict.fromkeys(_SUBPACKAGES, ()))[:2]
+__all__ = ["__version__", *_SUBPACKAGES]

@@ -1,34 +1,12 @@
 """Analysis: statistics, interference monitoring, experiment runners."""
 
-from repro.analysis.advisor import (
-    AdvisorLoop,
-    BudgetAdvisor,
-    BudgetPlan,
-    ManagerObservation,
-)
-from repro.analysis.experiment import ContentionExperiment, ContentionResult
-from repro.analysis.interference import (
-    InterferenceMatrix,
-    SystemInterferenceMonitor,
-)
-from repro.analysis.stats import (
-    LatencyStats,
-    bytes_per_cycle,
-    percentile,
-    performance_percent,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdvisorLoop",
-    "BudgetAdvisor",
-    "BudgetPlan",
-    "ContentionExperiment",
-    "ContentionResult",
-    "ManagerObservation",
-    "InterferenceMatrix",
-    "LatencyStats",
-    "SystemInterferenceMonitor",
-    "bytes_per_cycle",
-    "percentile",
-    "performance_percent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "advisor": ("AdvisorLoop", "BudgetAdvisor", "BudgetPlan",
+                "ManagerObservation"),
+    "experiment": ("ContentionExperiment", "ContentionResult"),
+    "interference": ("InterferenceMatrix", "SystemInterferenceMonitor"),
+    "stats": ("LatencyStats", "bytes_per_cycle", "percentile",
+              "performance_percent"),
+})

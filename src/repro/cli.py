@@ -254,10 +254,30 @@ def _telemetry_server(args: argparse.Namespace):
     return server
 
 
-def _run_scenario(args: argparse.Namespace) -> int:
-    from repro.scenario import ScenarioError, run_campaign
+def _campaign_errors(args: argparse.Namespace) -> tuple:
+    """The exception types a campaign command reports as an error.
+
+    The snapshot and telemetry types are imported only when an option
+    that uses those layers was given: a plain run never loads them.
+    """
+    from repro.scenario import ScenarioError
     from repro.sim import SimulationError
-    from repro.snapshot import SnapshotError
+
+    errors: tuple = (ScenarioError, SimulationError)
+    if (args.fork or args.checkpoint_every is not None
+            or getattr(args, "resume", None)):
+        from repro.snapshot import SnapshotError
+
+        errors += (SnapshotError,)
+    if args.telemetry is not None:
+        from repro.telemetry import TelemetryError
+
+        errors += (TelemetryError,)
+    return errors
+
+
+def _run_scenario(args: argparse.Namespace) -> int:
+    from repro.scenario import run_campaign
 
     if args.resume:
         return _resume_scenario(args)
@@ -267,8 +287,6 @@ def _run_scenario(args: argparse.Namespace) -> int:
         return 2
     server = None
     try:
-        from repro.telemetry import TelemetryError
-
         spec = _load_scenario(args)
         server = _telemetry_server(args)
         result = run_campaign(
@@ -284,8 +302,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
             telemetry=server,
         )
-    except (ScenarioError, SimulationError, SnapshotError,
-            TelemetryError) as exc:
+    except _campaign_errors(args) as exc:
         print(f"repro: scenario error: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -297,18 +314,14 @@ def _run_scenario(args: argparse.Namespace) -> int:
 
 def _resume_scenario(args: argparse.Namespace) -> int:
     """Rebuild the checkpointed point's system and continue its run."""
-    from repro.scenario import ScenarioError
     from repro.scenario.report import CampaignResult
     from repro.scenario.runner import run_point
     from repro.scenario.spec import validate
     from repro.scenario.sweep import ExpandedPoint
-    from repro.sim import SimulationError
-    from repro.snapshot import SnapshotError, load_checkpoint
+    from repro.snapshot import load_checkpoint
 
     server = None
     try:
-        from repro.telemetry import TelemetryError
-
         meta, state = load_checkpoint(args.resume)
         spec = validate(meta["spec"])
         point = ExpandedPoint(
@@ -332,8 +345,7 @@ def _resume_scenario(args: argparse.Namespace) -> int:
             scenario_name=meta.get("scenario"),
             telemetry=server,
         )
-    except (ScenarioError, SimulationError, SnapshotError, KeyError,
-            TelemetryError) as exc:
+    except (*_campaign_errors(args), KeyError) as exc:
         print(f"repro: resume error: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -351,19 +363,10 @@ def _resume_scenario(args: argparse.Namespace) -> int:
 def _run_sweep(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.scenario import (
-        AxisSpec,
-        CampaignSpec,
-        ScenarioError,
-        run_campaign,
-    )
-    from repro.sim import SimulationError
-    from repro.snapshot import SnapshotError
+    from repro.scenario import AxisSpec, CampaignSpec, run_campaign
 
     server = None
     try:
-        from repro.telemetry import TelemetryError
-
         spec = _load_scenario(args)
         axes = []
         for item in args.axis:
@@ -396,8 +399,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
             telemetry=server,
         )
-    except (ScenarioError, SimulationError, SnapshotError,
-            TelemetryError) as exc:
+    except _campaign_errors(args) as exc:
         print(f"repro: scenario error: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -739,6 +741,27 @@ def _add_campaign_options(
     )
 
 
+def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``repro lint`` / ``repro-lint`` arguments (declared here so
+    that building the parser imports no lint rule)."""
+    parser.add_argument(
+        "paths", nargs="*", default=["src/repro"],
+        help="files or directories to lint (default: src/repro)",
+    )
+    parser.add_argument(
+        "--rule", action="append", metavar="ID", dest="rules",
+        help="run only this rule (repeatable); see --list-rules",
+    )
+    parser.add_argument(
+        "--json", nargs="?", const="-", metavar="FILE",
+        help="emit a JSON report (to FILE, or stdout when bare)",
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true",
+        help="list the shipped rule ids and exit",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -901,8 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="AST determinism & state-contract checks (DESIGN.md §13); "
         "exit 1 on any finding",
     )
-    from repro.lint.cli import add_lint_arguments
-
     add_lint_arguments(lint_parser)
     return parser
 

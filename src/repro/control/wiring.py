@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING
 from repro.control.knobs import RegfilePort
 from repro.control.plane import ControlPlane
 from repro.interconnect.crossbar import AxiCrossbar
-from repro.interconnect.noc import AxiNoc
 from repro.mem.dram import DramModel
 from repro.mem.sram import SramMemory
 from repro.realm import register_file as rf
@@ -42,11 +41,6 @@ from repro.realm.unit import RealmUnit
 from repro.traffic.core_model import CoreModel
 from repro.traffic.dma import DmaEngine
 from repro.traffic.driver import ManagerDriver
-from repro.traffic.malicious import (
-    BandwidthHog,
-    StallingWriter,
-    TricklingWriter,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.system.builder import System
@@ -214,7 +208,7 @@ def _register_interconnect(control: ControlPlane, system: "System") -> None:
                     ),
                     doc="QoS override at the arbiters (-1 = per-beat AxQOS)",
                 )
-    elif isinstance(fabric, AxiNoc):
+    elif fabric is not None:  # the NoC, whose module loads only if built
         probes.register("noc.flits_injected", lambda: fabric.flits_injected,
                         doc="flits injected into either network")
         probes.register(
@@ -313,7 +307,29 @@ def register_traffic(control: ControlPlane, manager: str, component) -> None:
             ),
             doc="idle cycles between bursts (rate control)",
         )
-    elif isinstance(component, BandwidthHog):
+    elif isinstance(component, ManagerDriver):
+        probes.register(f"{prefix}.completed",
+                        lambda c=component: len(c.completed),
+                        doc="scripted operations finished")
+        probes.register(f"{prefix}.pending",
+                        lambda c=component: c.pending_ops,
+                        kind="gauge", doc="scripted operations outstanding")
+    else:
+        _register_malicious(control, prefix, component)
+
+
+def _register_malicious(control: ControlPlane, prefix: str,
+                        component) -> None:
+    # Imported here: a scenario without malicious managers never loads
+    # their module.
+    from repro.traffic.malicious import (
+        BandwidthHog,
+        StallingWriter,
+        TricklingWriter,
+    )
+
+    probes, knobs = control.probes, control.knobs
+    if isinstance(component, BandwidthHog):
         probes.register(f"{prefix}.bytes_stolen",
                         lambda c=component: c.bytes_stolen)
         knobs.register(
@@ -347,10 +363,3 @@ def register_traffic(control: ControlPlane, manager: str, component) -> None:
             write=lambda v, c=component: (setattr(c, "gap", v), c.wake()),
             doc="cycles between trickled write beats",
         )
-    elif isinstance(component, ManagerDriver):
-        probes.register(f"{prefix}.completed",
-                        lambda c=component: len(c.completed),
-                        doc="scripted operations finished")
-        probes.register(f"{prefix}.pending",
-                        lambda c=component: c.pending_ops,
-                        kind="gauge", doc="scripted operations outstanding")

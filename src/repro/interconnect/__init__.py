@@ -1,16 +1,10 @@
-"""AXI interconnect: arbiters, address map, crossbar."""
+"""AXI interconnect: arbiters, address map, crossbar, NoC."""
 
-from repro.interconnect.address_map import AddressMap, AddressRange
-from repro.interconnect.arbiter import FixedPriorityArbiter, RoundRobinArbiter
-from repro.interconnect.crossbar import AxiCrossbar
-from repro.interconnect.noc import AxiNoc, Flit
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AddressMap",
-    "AddressRange",
-    "AxiCrossbar",
-    "AxiNoc",
-    "FixedPriorityArbiter",
-    "Flit",
-    "RoundRobinArbiter",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "address_map": ("AddressMap", "AddressRange"),
+    "arbiter": ("FixedPriorityArbiter", "RoundRobinArbiter"),
+    "crossbar": ("AxiCrossbar",),
+    "noc": ("AxiNoc", "Flit"),
+})

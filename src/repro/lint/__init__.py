@@ -24,22 +24,10 @@ The reason text is mandatory; a reasonless suppression is itself a
 finding (``bad-suppression``).
 """
 
-from repro.lint.core import (
-    Finding,
-    LintError,
-    ModuleInfo,
-    Rule,
-    lint_paths,
-    lint_source,
-)
-from repro.lint.rules import all_rules
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Finding",
-    "LintError",
-    "ModuleInfo",
-    "Rule",
-    "all_rules",
-    "lint_paths",
-    "lint_source",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "core": ("Finding", "LintError", "ModuleInfo", "Rule", "lint_paths",
+             "lint_source"),
+    "rules": ("all_rules",),
+})

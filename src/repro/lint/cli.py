@@ -10,6 +10,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from repro.cli import add_lint_arguments
 from repro.lint.core import LintError, iter_python_files, lint_paths
 from repro.lint.report import render_json, render_text
 from repro.lint.rules import all_rules, rule_ids
@@ -19,25 +20,6 @@ __all__ = ["add_lint_arguments", "run_lint", "main"]
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--rule", action="append", metavar="ID", dest="rules",
-        help="run only this rule (repeatable); see --list-rules",
-    )
-    parser.add_argument(
-        "--json", nargs="?", const="-", metavar="FILE",
-        help="emit a JSON report (to FILE, or stdout when bare)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="list the shipped rule ids and exit",
-    )
 
 
 def run_lint(args: argparse.Namespace) -> int:

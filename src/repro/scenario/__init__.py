@@ -16,91 +16,22 @@ Typical use::
     result.write_json("fig6a_report.json")
 """
 
-from repro.scenario.errors import ScenarioError
-from repro.scenario.fork import (
-    ForkNode,
-    ForkPlan,
-    ForkTree,
-    plan_fork,
-    plan_fork_tree,
-)
-from repro.scenario.loader import dumps, load_file, loads
-from repro.scenario.report import CampaignResult, PointResult
-from repro.scenario.runner import (
-    attach_traffic,
-    build_system,
-    collect_observables,
-    install_control,
-    run_campaign,
-    run_point,
-)
-from repro.scenario.spec import (
-    AdviseSpec,
-    AxisSpec,
-    CampaignSpec,
-    ManagerScenario,
-    MemoryScenario,
-    PointSpec,
-    ProbesSpec,
-    RegulatorSpec,
-    RunSpec,
-    ScenarioSpec,
-    ScheduleActionSpec,
-    TopologySpec,
-    TrafficScenario,
-    WarmSpec,
-    realm_params_to_dict,
-    validate,
-)
-from repro.scenario.sweep import (
-    ExpandedPoint,
-    apply_overrides,
-    apply_smoke,
-    axis_schedule_settable,
-    derive_seed,
-    expand,
-    set_by_path,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdviseSpec",
-    "AxisSpec",
-    "CampaignResult",
-    "CampaignSpec",
-    "ExpandedPoint",
-    "ForkNode",
-    "ForkPlan",
-    "ForkTree",
-    "ManagerScenario",
-    "MemoryScenario",
-    "PointResult",
-    "PointSpec",
-    "ProbesSpec",
-    "RegulatorSpec",
-    "RunSpec",
-    "ScenarioError",
-    "ScenarioSpec",
-    "ScheduleActionSpec",
-    "TopologySpec",
-    "TrafficScenario",
-    "WarmSpec",
-    "apply_overrides",
-    "apply_smoke",
-    "attach_traffic",
-    "axis_schedule_settable",
-    "build_system",
-    "collect_observables",
-    "derive_seed",
-    "dumps",
-    "expand",
-    "install_control",
-    "load_file",
-    "loads",
-    "plan_fork",
-    "plan_fork_tree",
-    "realm_params_to_dict",
-    "run_campaign",
-    "run_point",
-    "set_by_path",
-    "validate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "errors": ("ScenarioError",),
+    "fork": ("ForkNode", "ForkPlan", "ForkTree", "plan_fork",
+             "plan_fork_tree"),
+    "loader": ("dumps", "load_file", "loads"),
+    "report": ("CampaignResult", "PointResult"),
+    "runner": ("attach_traffic", "build_system", "collect_observables",
+               "install_control", "run_campaign", "run_point"),
+    "spec": ("AdviseSpec", "AxisSpec", "CampaignSpec", "ManagerScenario",
+             "MemoryScenario", "PointSpec", "ProbesSpec", "RegulatorSpec",
+             "RunSpec", "ScenarioSpec", "ScheduleActionSpec",
+             "TopologySpec", "TrafficScenario", "WarmSpec",
+             "realm_params_to_dict", "validate"),
+    "sweep": ("ExpandedPoint", "apply_overrides", "apply_smoke",
+              "axis_schedule_settable", "derive_seed", "expand",
+              "set_by_path"),
+})

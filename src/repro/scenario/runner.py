@@ -19,12 +19,11 @@ wall-clock time.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from importlib import import_module
 from time import perf_counter
 from typing import Any, Callable, Optional
 
-from repro.baselines import AbeEqualizer, AbuRegulator, CutForwardUnit
 from repro.control.knobs import KnobError
 from repro.control.probes import ProbeError
 from repro.control.schedule import ScheduleError
@@ -39,12 +38,9 @@ from repro.scenario.spec import (
 from repro.scenario.sweep import ExpandedPoint, apply_smoke, expand
 from repro.sim.kernel import Component, SimulationError
 from repro.system.builder import System, SystemBuilder
-from repro.traffic import (
-    BandwidthHog,
-    CoreModel,
-    DmaEngine,
-    StallingWriter,
-    TricklingWriter,
+from repro.traffic.core_model import CoreModel
+from repro.traffic.dma import DmaEngine
+from repro.traffic.patterns import (
     random_trace,
     sequential_trace,
     strided_trace,
@@ -56,6 +52,8 @@ from repro.traffic import (
 # topology -> SystemBuilder
 # ----------------------------------------------------------------------
 def _regulator_factory(spec: ManagerScenario) -> Callable:
+    from repro.baselines import AbeEqualizer, AbuRegulator, CutForwardUnit
+
     reg = spec.regulator
     assert reg is not None
     if reg.kind == "abu":
@@ -188,6 +186,12 @@ def _traffic_factory(binding: TrafficScenario) -> Callable:
             n_buffers=p("n_buffers"), inter_burst_gap=p("inter_burst_gap"),
             name=name,
         )
+    from repro.traffic.malicious import (
+        BandwidthHog,
+        StallingWriter,
+        TricklingWriter,
+    )
+
     if binding.kind == "hog":
         return lambda port: BandwidthHog(
             port, target_base=p("target_base"), window=p("window"),
@@ -295,8 +299,7 @@ def _install_rule(path: str, install: Callable[[], Any]) -> Any:
 
 
 def _advisor_loop(control, advise, path: str):
-    # Imported lazily: repro.analysis pulls in the experiment preset,
-    # which itself imports this package.
+    # Imported here: only scenarios with an advisor load it.
     from repro.analysis.advisor import AdvisorLoop
 
     try:
@@ -461,7 +464,7 @@ def _execute_run(
                 chunk_end = min(chunk_end, sim.cycle + checkpoint_every)
             sim.run_until(
                 lambda: pred() or sim.cycle >= chunk_end,
-                max_cycles=chunk_end - sim.cycle + 1,
+                max_cycles=chunk_end - sim.cycle,
                 what=what,
             )
             if (
@@ -563,8 +566,6 @@ def run_point(
     with or without it, attached or not, every observable and golden
     digest is byte-identical (DESIGN.md section 12).
     """
-    from repro.snapshot import SnapshotError
-
     spec = point.spec
     system, generators = _elaborate_point(
         point, active_set=active_set, batched=batched, profile=profile
@@ -575,6 +576,8 @@ def run_point(
 
         recorder = FlightRecorder(journal=record).attach(system.sim)
     if resume_state is not None:
+        from repro.snapshot import SnapshotError
+
         try:
             system.restore(resume_state)
         except SnapshotError as exc:
@@ -850,6 +853,8 @@ def _run_fork_tree(
     try:
         walk(tree.root, None, None, 0, None)
         if pooled:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 outcomes = list(
                     pool.map(
@@ -876,6 +881,37 @@ def _run_fork_tree(
     result.fork_stats = {"planned": tree.describe(), "executed": executed}
     result.fork_trace = fork_trace
     return result
+
+
+def _import_optional_layers(
+    points: list[ExpandedPoint], *, snapshots: bool, recorder: bool
+) -> None:
+    """Import the optional modules a campaign uses before its first
+    point elaborates: a plain campaign loads none of them, and no
+    import lands inside a point's run."""
+    modules = set()
+    if snapshots:
+        modules |= {"repro.snapshot.state", "repro.snapshot.store"}
+    if recorder:
+        modules.add("repro.obs.recorder")
+    for spec in (point.spec for point in points):
+        topology = spec.topology
+        if topology.qos_arbitration or any(
+            m.regulator is not None for m in topology.managers
+        ):
+            modules.add("repro.baselines")
+        if topology.interconnect == "noc":
+            modules.add("repro.interconnect.noc")
+        if any(b.enabled and b.kind in ("hog", "staller", "trickler")
+               for b in spec.traffic):
+            modules.add("repro.traffic.malicious")
+        if any(a.enabled and a.advise is not None for a in spec.schedule):
+            modules.add("repro.analysis.advisor")
+    for module in sorted(modules):
+        import_module(module)
+    if snapshots:
+        # Builds the state codec, which imports every type it registers.
+        import_module("repro.snapshot.codec").default_codec()
 
 
 def run_campaign(
@@ -912,8 +948,6 @@ def run_campaign(
     pool.  Results are bit-identical to scratch execution; campaigns
     where nothing is shareable silently fall back.
     """
-    from repro.scenario.fork import plan_fork_tree
-
     if telemetry is not None and jobs > 1:
         raise ScenarioError(
             "live telemetry requires sequential execution (the socket "
@@ -923,7 +957,13 @@ def run_campaign(
     if smoke:
         spec = apply_smoke(spec)
     points = expand(spec)
+    _import_optional_layers(
+        points, snapshots=fork or checkpoint_every is not None,
+        recorder=profile or record,
+    )
     if fork and len(points) > 1:
+        from repro.scenario.fork import plan_fork_tree
+
         tree = plan_fork_tree(points)
         if tree.shares_prefix:
             return _run_fork_tree(
@@ -933,6 +973,8 @@ def run_campaign(
                 checkpoint_dir=checkpoint_dir, telemetry=telemetry,
             )
     if jobs > 1 and len(points) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(
                 pool.map(

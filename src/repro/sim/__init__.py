@@ -1,17 +1,9 @@
 """Cycle-based simulation kernel (clock, components, channels, tracing)."""
 
-from repro.sim.channel import Channel, ChannelPair, ExpressRoute, drain
-from repro.sim.kernel import Component, SimulationError, Simulator
-from repro.sim.tracing import TraceEvent, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Channel",
-    "ChannelPair",
-    "ExpressRoute",
-    "Component",
-    "SimulationError",
-    "Simulator",
-    "TraceEvent",
-    "Tracer",
-    "drain",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "channel": ("Channel", "ChannelPair", "ExpressRoute", "drain"),
+    "kernel": ("Component", "SimulationError", "Simulator"),
+    "tracing": ("TraceEvent", "Tracer"),
+})

@@ -21,27 +21,10 @@ legal only at commit boundaries, format versioning) is DESIGN.md
 section 10.
 """
 
-from repro.snapshot.codec import (
-    SnapshotError,
-    StateCodec,
-    decode_state,
-    encode_state,
-)
-from repro.snapshot.state import (
-    SNAPSHOT_FORMAT,
-    capture_simulator,
-    restore_simulator,
-)
-from repro.snapshot.store import load_checkpoint, save_checkpoint
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SNAPSHOT_FORMAT",
-    "SnapshotError",
-    "StateCodec",
-    "capture_simulator",
-    "decode_state",
-    "encode_state",
-    "load_checkpoint",
-    "restore_simulator",
-    "save_checkpoint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "codec": ("SnapshotError", "StateCodec", "decode_state", "encode_state"),
+    "state": ("SNAPSHOT_FORMAT", "capture_simulator", "restore_simulator"),
+    "store": ("load_checkpoint", "save_checkpoint"),
+})

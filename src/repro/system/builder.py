@@ -34,7 +34,6 @@ from repro.control.plane import ControlPlane
 from repro.control.wiring import register_system, register_traffic
 from repro.interconnect.address_map import AddressMap
 from repro.interconnect.crossbar import AxiCrossbar
-from repro.interconnect.noc import AxiNoc
 from repro.mem.cache import CacheLLC
 from repro.mem.dram import DramModel, DramTiming
 from repro.mem.sram import SramMemory
@@ -478,6 +477,8 @@ class SystemBuilder:
                 )
             )
         elif flavor == "noc":
+            from repro.interconnect.noc import AxiNoc
+
             width = self._noc_opts["width"]
             height = self._noc_opts["height"]
             mgr_nodes = self._place_nodes(

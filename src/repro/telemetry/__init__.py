@@ -10,46 +10,14 @@ inspect / knob-write / checkpoint / resume commands, and
 watching, pausing, and detaching never change a single observable.
 """
 
-from repro.telemetry.client import (
-    TelemetryClient,
-    TelemetryClientError,
-    parse_target,
-)
-from repro.telemetry.display import Dashboard, sparkline
-from repro.telemetry.sinks import CsvSink, JsonlSink, MemorySink, open_sink
-from repro.telemetry.server import TelemetryError, TelemetryServer
-from repro.telemetry.tap import ProbeTap, TapError, TapFrame, TapSubscription
-from repro.telemetry.wire import (
-    MAX_MESSAGE,
-    MessageDecoder,
-    WireError,
-    encode_message,
-    encode_payload,
-    recv_message,
-    send_message,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CsvSink",
-    "Dashboard",
-    "JsonlSink",
-    "MAX_MESSAGE",
-    "MemorySink",
-    "MessageDecoder",
-    "ProbeTap",
-    "TapError",
-    "TapFrame",
-    "TapSubscription",
-    "TelemetryClient",
-    "TelemetryClientError",
-    "TelemetryError",
-    "TelemetryServer",
-    "WireError",
-    "encode_message",
-    "encode_payload",
-    "open_sink",
-    "parse_target",
-    "recv_message",
-    "send_message",
-    "sparkline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "client": ("TelemetryClient", "TelemetryClientError", "parse_target"),
+    "display": ("Dashboard", "sparkline"),
+    "sinks": ("CsvSink", "JsonlSink", "MemorySink", "open_sink"),
+    "server": ("TelemetryError", "TelemetryServer"),
+    "tap": ("ProbeTap", "TapError", "TapFrame", "TapSubscription"),
+    "wire": ("MAX_MESSAGE", "MessageDecoder", "WireError", "encode_message",
+             "encode_payload", "recv_message", "send_message"),
+})

@@ -1,31 +1,13 @@
 """Traffic generators: scripted drivers, a core model, a DMA engine,
 workload patterns, and malicious managers."""
 
-from repro.traffic.core_model import CoreModel
-from repro.traffic.dma import DmaEngine
-from repro.traffic.driver import ManagerDriver, Op
-from repro.traffic.malicious import BandwidthHog, StallingWriter, TricklingWriter
-from repro.traffic.patterns import (
-    MemoryTrace,
-    TraceOp,
-    random_trace,
-    sequential_trace,
-    strided_trace,
-    susan_like_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BandwidthHog",
-    "CoreModel",
-    "DmaEngine",
-    "ManagerDriver",
-    "MemoryTrace",
-    "Op",
-    "StallingWriter",
-    "TraceOp",
-    "TricklingWriter",
-    "random_trace",
-    "sequential_trace",
-    "strided_trace",
-    "susan_like_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "core_model": ("CoreModel",),
+    "dma": ("DmaEngine",),
+    "driver": ("ManagerDriver", "Op"),
+    "malicious": ("BandwidthHog", "StallingWriter", "TricklingWriter"),
+    "patterns": ("MemoryTrace", "TraceOp", "random_trace",
+                 "sequential_trace", "strided_trace", "susan_like_trace"),
+})

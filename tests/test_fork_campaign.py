@@ -205,3 +205,29 @@ def test_fork_fallback_is_silent_for_unforkable_campaigns():
     forked = run_campaign(fig6a, fork=True)
     assert forked.fork_cycle is None
     assert forked.digest() == scratch.digest()
+
+
+@pytest.mark.parametrize("gap_mean", [2, 40])
+@pytest.mark.parametrize("at", [400, 700, 1234])
+def test_until_run_chunks_stop_on_their_cycle(tmp_path, at, gap_mean):
+    # An until-run pauses in chunks (a fork prefix, periodic
+    # checkpoints).  A quiescent fast-forward or a span must not carry
+    # a chunk past its stop cycle: the prefix is captured exactly at the
+    # divergent firing, and checkpoints land on multiples of N.
+    tree = _forkable_tree(campaign={"sweep": [
+        {"field": "schedule.cut.set.realm.dma.region0.budget_bytes",
+         "values": [256, 1 << 40]},
+    ]})
+    tree["traffic"]["core"]["gap_mean"] = gap_mean
+    tree["schedule"][0]["at"] = at
+    spec = validate(tree)
+    forked = run_campaign(spec, fork=True)
+    assert forked.fork_cycle == at
+    assert forked.digest() == run_campaign(spec).digest()
+
+    every = 350
+    run_campaign(spec, checkpoint_every=every, checkpoint_dir=str(tmp_path))
+    cycles = {int(path.stem.rpartition("-c")[2])
+              for path in tmp_path.glob("*.ckpt")}
+    assert cycles, "periodic checkpointing wrote no files"
+    assert all(cycle % every == 0 for cycle in cycles), sorted(cycles)
